@@ -251,6 +251,7 @@ int main() {
   net_cfg.outputs = 32;
   dras::util::Rng net_rng(321);
   dras::nn::Network net(net_cfg, net_rng);
+  dras::nn::BatchActivations acts;
 
   bool all_rows_identical = true;
   double per_sample_best_per_row = 0.0;
@@ -263,7 +264,7 @@ int main() {
     const int iterations = static_cast<int>(256 / batch);
 
     // Identity first: every batched row equals the per-sample forward.
-    net.forward_batch(inputs, batch, outputs);
+    net.forward_batch(inputs, batch, outputs, acts);
     bool identical = true;
     for (std::size_t b = 0; b < batch; ++b) {
       const auto row = std::span<const float>(inputs).subspan(
@@ -285,7 +286,7 @@ int main() {
       const double serial_s = now_seconds() - start;
       start = now_seconds();
       for (int it = 0; it < iterations; ++it)
-        net.forward_batch(inputs, batch, outputs);
+        net.forward_batch(inputs, batch, outputs, acts);
       const double batched_s = now_seconds() - start;
       if (rep == 0 || serial_s < serial_best_s) serial_best_s = serial_s;
       if (rep == 0 || batched_s < batched_best_s) batched_best_s = batched_s;

@@ -28,6 +28,6 @@ echo "=== tier-1: ASan+UBSan build + obs/sim tests ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DDRAS_SANITIZE=ON
 cmake --build build-asan -j "$(nproc)" --target dras_tests
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-  -R 'Obs|EventTracer|DefaultTracer|Sink|Simulator|Json|ThreadPool|Parallel|Clone|TaskSeed|Wire|Socket|NetServer|NetClient|Chaos'
+  -R 'Obs|EventTracer|DefaultTracer|Sink|Simulator|Json|ThreadPool|Parallel|Clone|TaskSeed|Wire|Socket|NetServer|NetClient|Chaos|DecisionService|ModelWatcher|Network|PGPolicy'
 
 echo "=== tier-1: all green ==="

@@ -89,8 +89,8 @@ void PGPolicy::update() {
 
   // All K window evaluations run as one batched forward: the recorded
   // states and the parameters are both fixed for the whole sweep, so
-  // forward_batch_retained() replaces K forward() calls (bit-identical
-  // per sample — see nn::gemm_batch) and stage_batch_sample() below
+  // forward_batch() replaces K forward() calls (bit-identical per
+  // sample — see nn::gemm_batch) and stage_batch_sample() below
   // rehydrates each sample's activations for its backward pass.
   const std::size_t input_size = config_.net.input_size();
   const std::size_t outputs = config_.net.outputs;
@@ -103,7 +103,7 @@ void PGPolicy::update() {
                   static_cast<std::ptrdiff_t>(k * input_size));
   }
   batch_logits_.resize(k_total * outputs);
-  network_.forward_batch_retained(batch_states_, k_total, batch_logits_);
+  network_.forward_batch(batch_states_, k_total, batch_logits_, batch_acts_);
 
   network_.zero_gradients();
   std::vector<float> grad_logits(config_.net.outputs);
@@ -131,7 +131,7 @@ void PGPolicy::update() {
     for (std::size_t i = 0; i < grad_logits.size(); ++i)
       grad_logits[i] = probs_scratch_[i] * adv;
     grad_logits[step.action] -= adv;
-    network_.stage_batch_sample(k);
+    network_.stage_batch_sample(batch_acts_, k);
     network_.backward(grad_logits);
   }
 

@@ -140,10 +140,11 @@ class PGPolicy {
   double last_loss_ = 0.0;
   double last_grad_norm_ = 0.0;
   std::vector<float> probs_scratch_;
-  // update() scratch: the batched forward's packed states and logits
-  // (states and parameters are fixed across an update, so all K
-  // forwards run as one forward_batch_retained call).
+  // update() scratch: the batched forward's packed states, logits and
+  // activations (states and parameters are fixed across an update, so
+  // all K forwards run as one forward_batch call).
   std::vector<float> batch_states_, batch_logits_;
+  nn::BatchActivations batch_acts_;
   nn::GradientAccumulator* sink_ = nullptr;  // transient, never serialized
 };
 

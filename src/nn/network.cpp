@@ -129,20 +129,9 @@ std::span<const float> Network::forward(std::span<const float> input) {
 }
 
 void Network::forward_batch(std::span<const float> inputs, std::size_t batch,
-                            std::span<float> outputs) {
-  forward_batch_impl(inputs, batch, outputs, /*retain=*/false);
-}
-
-void Network::forward_batch_retained(std::span<const float> inputs,
-                                     std::size_t batch,
-                                     std::span<float> outputs) {
-  forward_batch_impl(inputs, batch, outputs, /*retain=*/true);
-}
-
-void Network::forward_batch_impl(std::span<const float> inputs,
-                                 std::size_t batch, std::span<float> outputs,
-                                 bool retain) {
-  retained_batch_ = 0;
+                            std::span<float> outputs,
+                            BatchActivations& acts) const {
+  acts.batch = 0;
   if (batch == 0) return;
   if (inputs.size() != batch * config_.input_size())
     throw std::invalid_argument("forward_batch inputs have the wrong length");
@@ -157,12 +146,13 @@ void Network::forward_batch_impl(std::span<const float> inputs,
   const std::size_t out = config_.outputs;
 
   // Activations are held sample-minor ([feature][batch]) between layers
-  // — the layout gemm_batch wants (see ops.h).  Only this function sees
-  // it; inputs and outputs stay sample-major.
-  batch_conv_.resize(batch * r);
-  batch_fc1_.resize(batch * h1);
-  batch_fc2_.resize(batch * h2);
-  batch_out_.resize(batch * out);
+  // — the layout gemm_batch wants (see ops.h).  Inputs and outputs stay
+  // sample-major.
+  acts.input.assign(inputs.begin(), inputs.end());
+  acts.conv.resize(batch * r);
+  acts.fc1_pre.resize(batch * h1);
+  acts.fc2_pre.resize(batch * h2);
+  acts.out.resize(batch * out);
 
   // 1×2 convolution, per sample — same per-element expression as
   // forward() — stored transposed for the first gemm.
@@ -171,61 +161,58 @@ void Network::forward_batch_impl(std::span<const float> inputs,
   const float cb = params_[layout_.conv + 2];
   for (std::size_t b = 0; b < batch; ++b) {
     const float* x = inputs.data() + b * 2 * r;
-    float* c = batch_conv_.data() + b;
+    float* c = acts.conv.data() + b;
     for (std::size_t i = 0; i < r; ++i)
       c[i * batch] = w0 * x[2 * i] + w1 * x[2 * i + 1] + cb;
   }
 
-  gemm_batch(cblock(layout_.w1, h1 * r), batch_conv_, batch_fc1_, h1, r,
+  gemm_batch(cblock(layout_.w1, h1 * r), acts.conv, acts.fc1_pre, h1, r,
              batch);
-  if (retain) batch_fc1_pre_ = batch_fc1_;
-  leaky_relu(batch_fc1_, config_.leaky_slope);
+  acts.fc1 = acts.fc1_pre;
+  leaky_relu(acts.fc1, config_.leaky_slope);
 
-  gemm_batch(cblock(layout_.w2, h2 * h1), batch_fc1_, batch_fc2_, h2, h1,
+  gemm_batch(cblock(layout_.w2, h2 * h1), acts.fc1, acts.fc2_pre, h2, h1,
              batch);
-  if (retain) batch_fc2_pre_ = batch_fc2_;
-  leaky_relu(batch_fc2_, config_.leaky_slope);
+  acts.fc2 = acts.fc2_pre;
+  leaky_relu(acts.fc2, config_.leaky_slope);
 
-  gemm_batch(cblock(layout_.w3, out * h2), batch_fc2_, batch_out_, out, h2,
+  gemm_batch(cblock(layout_.w3, out * h2), acts.fc2, acts.out, out, h2,
              batch);
   for (std::size_t b = 0; b < batch; ++b) {
     float* y = outputs.data() + b * out;
     for (std::size_t i = 0; i < out; ++i)
-      y[i] = batch_out_[i * batch + b] + params_[layout_.b3 + i];
+      y[i] = acts.out[i * batch + b] + params_[layout_.b3 + i];
   }
-  if (retain) {
-    batch_input_.assign(inputs.begin(), inputs.end());
-    retained_batch_ = batch;
-  }
+  acts.batch = batch;
   if (timed) NetMetrics::get().batch_forward_us.observe(micros_since(start));
 }
 
-void Network::stage_batch_sample(std::size_t b) {
-  if (b >= retained_batch_)
+void Network::stage_batch_sample(const BatchActivations& acts, std::size_t b) {
+  if (b >= acts.batch)
     throw std::logic_error(
-        "stage_batch_sample() without a retained batch covering the index");
-  const std::size_t batch = retained_batch_;
+        "stage_batch_sample() without a batch covering the index");
+  const std::size_t batch = acts.batch;
   const std::size_t r = config_.input_rows;
   const std::size_t h1 = config_.fc1;
   const std::size_t h2 = config_.fc2;
   const std::size_t out = config_.outputs;
 
-  const float* x = batch_input_.data() + b * 2 * r;
+  const float* x = acts.input.data() + b * 2 * r;
   std::copy(x, x + 2 * r, input_.begin());
-  // The batch buffers are sample-minor ([feature][batch]); gather
-  // column b back into the single-sample caches backward() reads.
+  // Gather column b of the sample-minor buffers back into the
+  // single-sample caches backward() reads.
   for (std::size_t i = 0; i < r; ++i)
-    conv_out_[i] = batch_conv_[i * batch + b];
+    conv_out_[i] = acts.conv[i * batch + b];
   for (std::size_t i = 0; i < h1; ++i) {
-    fc1_pre_[i] = batch_fc1_pre_[i * batch + b];
-    fc1_post_[i] = batch_fc1_[i * batch + b];
+    fc1_pre_[i] = acts.fc1_pre[i * batch + b];
+    fc1_post_[i] = acts.fc1[i * batch + b];
   }
   for (std::size_t i = 0; i < h2; ++i) {
-    fc2_pre_[i] = batch_fc2_pre_[i * batch + b];
-    fc2_post_[i] = batch_fc2_[i * batch + b];
+    fc2_pre_[i] = acts.fc2_pre[i * batch + b];
+    fc2_post_[i] = acts.fc2[i * batch + b];
   }
   for (std::size_t i = 0; i < out; ++i)
-    output_[i] = batch_out_[i * batch + b] + params_[layout_.b3 + i];
+    output_[i] = acts.out[i * batch + b] + params_[layout_.b3 + i];
   has_forward_ = true;
 }
 

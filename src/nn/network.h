@@ -54,6 +54,15 @@ struct NetworkConfig {
   }
 };
 
+/// Every activation of one Network::forward_batch, held sample-minor
+/// ([feature][batch]) as gemm_batch wants it; `input` keeps the
+/// sample-major inputs and `out` the output layer before its bias.
+/// Grown on demand, never shrunk.
+struct BatchActivations {
+  std::size_t batch = 0;  ///< Samples held; 0 = no batch.
+  std::vector<float> input, conv, fc1_pre, fc1, fc2_pre, fc2, out;
+};
+
 class Network {
  public:
   /// Xavier-uniform initialisation drawn from `init_rng`.
@@ -73,29 +82,20 @@ class Network {
 
   /// Batched forward over B states packed sample-major in `inputs`
   /// (B × input_size() floats).  Writes B × outputs() floats into `outputs`
-  /// (sample-major) and returns nothing else.  Row b is bit-identical to
-  /// forward(inputs[b]) — the batch dimension only reorders loops so each
-  /// weight row is streamed once per batch (see ops::gemm_batch).  Uses
-  /// dedicated scratch buffers: it does NOT touch the activation caches,
-  /// so an in-flight forward()/backward() pair is unaffected.
+  /// (sample-major).  Row b is bit-identical to forward(inputs[b]) — the
+  /// batch dimension only reorders loops so each weight row is streamed
+  /// once per batch (see ops::gemm_batch).  Every activation lands in the
+  /// caller-owned `acts`, never in the network, so any number of threads
+  /// may share one const Network as long as each brings its own `acts`.
   void forward_batch(std::span<const float> inputs, std::size_t batch,
-                     std::span<float> outputs);
+                     std::span<float> outputs, BatchActivations& acts) const;
 
-  /// forward_batch plus activation retention: keeps every sample's
-  /// pre- and post-activations so stage_batch_sample() can later make
-  /// any sample the "most recent forward" for backward().  This is the
-  /// training entry point (PGPolicy batches a whole update's forwards
-  /// up front — states and parameters are fixed for the entire sweep);
-  /// plain forward_batch stays the lean inference path.
-  void forward_batch_retained(std::span<const float> inputs,
-                              std::size_t batch, std::span<float> outputs);
-
-  /// Load sample `b` of the latest forward_batch_retained() into the
-  /// single-sample activation caches, exactly as if forward(inputs_b)
-  /// had just run — the next backward() accumulates sample b's
-  /// gradient bit-identically to the serial path.  Throws when no
-  /// retained batch is live or `b` is out of range.
-  void stage_batch_sample(std::size_t b);
+  /// Load sample `b` of the batch held in `acts` (filled by this
+  /// network's forward_batch) into the single-sample activation caches,
+  /// exactly as if forward(inputs_b) had just run — the next backward()
+  /// accumulates sample b's gradient bit-identically to the serial path.
+  /// Throws std::logic_error when `acts` holds no batch covering `b`.
+  void stage_batch_sample(const BatchActivations& acts, std::size_t b);
 
   /// Accumulate parameter gradients for d(loss)/d(outputs) = `grad_output`
   /// against the most recent forward pass.  May be called repeatedly to
@@ -169,18 +169,6 @@ class Network {
   // Backward scratch.
   std::vector<float> g_fc2_post_, g_fc2_pre_, g_fc1_post_, g_fc1_pre_,
       g_conv_;
-  void forward_batch_impl(std::span<const float> inputs, std::size_t batch,
-                          std::span<float> outputs, bool retain);
-
-  // forward_batch scratch (grown on demand, never shrunk); kept separate
-  // from the training caches above so batched inference can interleave
-  // with a forward()/backward() pair.
-  std::vector<float> batch_conv_, batch_fc1_, batch_fc2_, batch_out_;
-  // Retention extras (forward_batch_retained only): the sample-major
-  // input copy and the pre-activation snapshots taken before the
-  // in-place leaky ReLU destroys them.
-  std::vector<float> batch_input_, batch_fc1_pre_, batch_fc2_pre_;
-  std::size_t retained_batch_ = 0;  ///< 0 = no retained batch live.
   bool has_forward_ = false;
 };
 

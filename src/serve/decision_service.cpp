@@ -45,14 +45,14 @@ double micros_since(std::chrono::steady_clock::time_point start) noexcept {
       .count();
 }
 
-/// Throws std::invalid_argument when `request` does not fit the
-/// network `agent` serves.
-void validate_request(const core::DrasAgent& agent,
+}  // namespace
+
+void validate_request(const ModelSnapshot& snapshot,
                       const DecisionRequest& request) {
-  const nn::NetworkConfig& net = agent.network().config();
+  const nn::NetworkConfig& net = snapshot.agent().network().config();
   if (request.valid == 0)
     throw std::invalid_argument("decision request has no valid actions");
-  if (agent.config().kind == core::AgentKind::PG) {
+  if (snapshot.config().kind == core::AgentKind::PG) {
     if (request.valid > net.outputs)
       throw std::invalid_argument(util::format(
           "decision request has {} valid slots, window is {}", request.valid,
@@ -69,13 +69,15 @@ void validate_request(const core::DrasAgent& agent,
   }
 }
 
+namespace {
+
 /// Batched PG head: one forward_batch over all window states, then per
 /// request the exact greedy_action math — softmax_masked over the full
 /// logit row, argmax (first-max-wins) over the first `valid` probs.
-void decide_pg(core::DrasAgent& agent,
+void decide_pg(const ModelSnapshot& snapshot,
                std::span<const DecisionRequest* const> requests,
-               std::span<std::size_t> picks) {
-  nn::Network& net = agent.network();
+               std::span<std::size_t> picks, nn::BatchActivations& acts) {
+  const nn::Network& net = snapshot.agent().network();
   const std::size_t in = net.config().input_size();
   const std::size_t out = net.config().outputs;
   const std::size_t batch = requests.size();
@@ -84,7 +86,7 @@ void decide_pg(core::DrasAgent& agent,
     std::copy(requests[b]->state.begin(), requests[b]->state.end(),
               inputs.begin() + static_cast<std::ptrdiff_t>(b * in));
   std::vector<float> logits(batch * out);
-  net.forward_batch(inputs, batch, logits);
+  net.forward_batch(inputs, batch, logits, acts);
   std::vector<float> probs(out);
   for (std::size_t b = 0; b < batch; ++b) {
     const std::span<const float> row =
@@ -102,10 +104,10 @@ void decide_pg(core::DrasAgent& agent,
 /// of a single forward_batch; per request the argmax uses the exact
 /// select_action(explore=false) comparison — double-cast Q, strict >,
 /// first-wins.
-void decide_dql(core::DrasAgent& agent,
+void decide_dql(const ModelSnapshot& snapshot,
                 std::span<const DecisionRequest* const> requests,
-                std::span<std::size_t> picks) {
-  nn::Network& net = agent.network();
+                std::span<std::size_t> picks, nn::BatchActivations& acts) {
+  const nn::Network& net = snapshot.agent().network();
   const std::size_t in = net.config().input_size();
   std::size_t total = 0;
   for (const DecisionRequest* r : requests) total += r->valid;
@@ -114,7 +116,7 @@ void decide_dql(core::DrasAgent& agent,
   for (const DecisionRequest* r : requests)
     inputs.insert(inputs.end(), r->state.begin(), r->state.end());
   std::vector<float> q(total);
-  net.forward_batch(inputs, total, q);
+  net.forward_batch(inputs, total, q, acts);
   std::size_t offset = 0;
   for (std::size_t b = 0; b < requests.size(); ++b) {
     const std::size_t n = requests[b]->valid;
@@ -133,6 +135,15 @@ void decide_dql(core::DrasAgent& agent,
 }
 
 }  // namespace
+
+void decide_batch(const ModelSnapshot& snapshot,
+                  std::span<const DecisionRequest* const> requests,
+                  std::span<std::size_t> picks, nn::BatchActivations& acts) {
+  if (snapshot.config().kind == core::AgentKind::PG)
+    decide_pg(snapshot, requests, picks, acts);
+  else
+    decide_dql(snapshot, requests, picks, acts);
+}
 
 DecisionService::DecisionService(ServiceOptions options)
     : options_(options) {
@@ -214,12 +225,9 @@ DecisionService::Stats DecisionService::stats() const {
 }
 
 void DecisionService::worker_loop(std::size_t /*worker_index*/) {
-  // Per-worker model replica: cloned from the installed snapshot the
-  // first time this worker sees it, then reused until the pointer
-  // changes.  Cloning happens outside the lock, so a swap never stalls
-  // the queue.
-  std::unique_ptr<core::DrasAgent> replica;
-  const ModelSnapshot* replica_source = nullptr;
+  // Workers read the installed snapshot's network and own only their
+  // activation scratch, so a swap is the pointer flip in install().
+  nn::BatchActivations acts;
   std::vector<Pending> batch;
   for (;;) {
     std::shared_ptr<const ModelSnapshot> snapshot;
@@ -267,17 +275,13 @@ void DecisionService::worker_loop(std::size_t /*worker_index*/) {
       ServeMetrics::get().queue_depth.set(static_cast<double>(left_behind));
     }
     if (left_behind > 0) cv_.notify_one();
-    if (replica_source != snapshot.get()) {
-      replica = snapshot->make_replica();
-      replica_source = snapshot.get();
-    }
-    serve_batch(batch, *snapshot, *replica, batch_id);
+    serve_batch(batch, *snapshot, acts, batch_id);
   }
 }
 
 void DecisionService::serve_batch(std::vector<Pending>& batch,
                                   const ModelSnapshot& snapshot,
-                                  core::DrasAgent& replica,
+                                  nn::BatchActivations& acts,
                                   std::uint64_t batch_id) {
   ServeMetrics& metrics = ServeMetrics::get();
   obs::Span batch_span(
@@ -293,7 +297,7 @@ void DecisionService::serve_batch(std::vector<Pending>& batch,
   valid_slots.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     try {
-      validate_request(replica, batch[i].request);
+      validate_request(snapshot, batch[i].request);
       valid_requests.push_back(&batch[i].request);
       valid_slots.push_back(i);
     } catch (const std::exception&) {
@@ -309,10 +313,7 @@ void DecisionService::serve_batch(std::vector<Pending>& batch,
         "serve.forward",
         {obs::targ("rows", static_cast<std::uint64_t>(valid_requests.size()))},
         &metrics.batch_forward_us);
-    if (replica.config().kind == core::AgentKind::PG)
-      decide_pg(replica, valid_requests, picks);
-    else
-      decide_dql(replica, valid_requests, picks);
+    decide_batch(snapshot, valid_requests, picks, acts);
   }
 
   for (std::size_t i = 0; i < valid_requests.size(); ++i) {

@@ -12,12 +12,13 @@
 // decision is bit-identical to the in-trainer decision from the same
 // snapshot (the determinism oracle, enforced in tests and the bench).
 //
-// Hot swap: install() flips a shared_ptr under the queue mutex — an
-// O(1) pointer assignment, so requests never stall on a swap.  Each
-// worker keeps a private DrasAgent replica cloned from the snapshot it
-// last saw and re-clones (outside the lock) when the pointer changed;
-// in-flight batches finish on the old replica.  Every Decision carries
-// the snapshot version that produced it.
+// One weight set: every worker forwards through the installed
+// snapshot's network, which forward_batch only reads, and owns nothing
+// but its nn::BatchActivations scratch.  Hot swap: install() flips a
+// shared_ptr under the queue mutex — an O(1) pointer assignment, so
+// requests never stall on a swap; in-flight batches hold the old
+// snapshot alive and finish on it.  Every Decision carries the snapshot
+// version that produced it.
 //
 // Telemetry: counters serve.requests / serve.batches / serve.swaps /
 // serve.failures, gauge serve.queue_depth, hdr histograms
@@ -36,9 +37,11 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "nn/network.h"
 #include "obs/span.h"
 #include "serve/snapshot.h"
 #include "util/rng.h"
@@ -54,7 +57,8 @@ struct BatchPolicy {
 
 struct ServiceOptions {
   BatchPolicy policy;
-  /// Inference worker threads, each with a private model replica.
+  /// Inference worker threads; they share the snapshot's weights and
+  /// each owns only its activation scratch.
   std::size_t workers = 1;
 };
 
@@ -120,7 +124,7 @@ class DecisionService {
 
   void worker_loop(std::size_t worker_index);
   void serve_batch(std::vector<Pending>& batch,
-                   const ModelSnapshot& snapshot, core::DrasAgent& replica,
+                   const ModelSnapshot& snapshot, nn::BatchActivations& acts,
                    std::uint64_t batch_id);
 
   ServiceOptions options_;
@@ -140,6 +144,19 @@ class DecisionService {
   std::atomic<std::uint64_t> failures_{0};
   std::atomic<std::uint64_t> max_batch_{0};
 };
+
+/// Throws std::invalid_argument when `request` does not fit the network
+/// `snapshot` serves.
+void validate_request(const ModelSnapshot& snapshot,
+                      const DecisionRequest& request);
+
+/// The served head: one forward_batch through the snapshot's network
+/// over every (validated) request, then per request the policy's greedy
+/// math; picks[i] answers requests[i].  Reads the snapshot only, so
+/// concurrent callers need nothing but their own `acts`.
+void decide_batch(const ModelSnapshot& snapshot,
+                  std::span<const DecisionRequest* const> requests,
+                  std::span<std::size_t> picks, nn::BatchActivations& acts);
 
 /// The decision the trainer-side greedy policy makes for `request` on
 /// `agent` — PGPolicy::greedy_action / DQLPolicy::select_action with

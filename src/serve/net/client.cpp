@@ -4,7 +4,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/dras_agent.h"
 #include "obs/metrics.h"
 #include "util/format.h"
 #include "util/logging.h"
@@ -64,7 +63,6 @@ void DecisionClient::set_fallback(
     std::shared_ptr<const ModelSnapshot> snapshot) {
   std::lock_guard lock(mutex_);
   fallback_ = std::move(snapshot);
-  fallback_replica_ = fallback_ ? fallback_->make_replica() : nullptr;
 }
 
 NetDecision DecisionClient::decide(const DecisionRequest& request) {
@@ -264,13 +262,16 @@ NetDecision DecisionClient::fallback_or_throw(const DecisionRequest& request,
                                               Clock::time_point started,
                                               std::uint32_t attempts,
                                               const std::string& why) {
-  if (!fallback_replica_) {
+  if (!fallback_) {
     throw TransportError("decision transport failed (" + why +
                          ") and no fallback model is installed");
   }
+  validate_request(*fallback_, request);
+  const DecisionRequest* one = &request;
   NetDecision decision;
-  decision.job_index = reference_decision(*fallback_replica_, request);
-  decision.model_version = fallback_ ? fallback_->version() : 0;
+  decide_batch(*fallback_, {&one, 1}, {&decision.job_index, 1},
+               fallback_acts_);
+  decision.model_version = fallback_->version();
   decision.degraded = true;
   decision.attempts = attempts;
   decision.latency_us = micros_since(started);

@@ -18,8 +18,9 @@
 //   3. Circuit breaker → degraded mode.  After `breaker_threshold`
 //      consecutive decide() failures the breaker opens: for
 //      `breaker_cooldown` every call is served locally by the fallback
-//      model (serve::reference_decision on a replica of the snapshot
-//      given to set_fallback) and tagged degraded=true.  After the
+//      model (serve::decide_batch, as a batch of one, on the snapshot
+//      given to set_fallback — its shared weights, the client's own
+//      activation scratch) and tagged degraded=true.  After the
 //      cooldown one half-open probe goes to the server; success closes
 //      the breaker (fail-back), failure re-opens it.  Without a
 //      fallback installed, exhausted retries throw TransportError —
@@ -41,10 +42,6 @@
 #include "serve/net/wire.h"
 #include "util/rng.h"
 #include "util/socket.h"
-
-namespace dras::core {
-class DrasAgent;
-}
 
 namespace dras::serve::net {
 
@@ -79,7 +76,7 @@ struct ClientOptions {
 
 struct NetDecision {
   std::size_t job_index = 0;
-  std::uint64_t model_version = 0;  ///< 0 when served by the fallback.
+  std::uint64_t model_version = 0;  ///< Answering snapshot, even degraded.
   bool degraded = false;            ///< true = local fallback answered.
   std::uint32_t batch_size = 0;     ///< Server-side batch (0 if degraded).
   std::uint32_t attempts = 1;       ///< Attempts this decision consumed.
@@ -95,8 +92,8 @@ class DecisionClient {
   DecisionClient& operator=(const DecisionClient&) = delete;
 
   /// Install the local fallback model for degraded mode.  The client
-  /// keeps a private replica; `snapshot` may be hot-swapped later by
-  /// calling again.
+  /// serves from `snapshot`'s weights directly; it may be hot-swapped
+  /// later by calling again.
   void set_fallback(std::shared_ptr<const ModelSnapshot> snapshot);
 
   /// One decision, always (see the ladder above).  Thread-safe
@@ -146,7 +143,7 @@ class DecisionClient {
   std::uint64_t next_request_id_ = 0;
 
   std::shared_ptr<const ModelSnapshot> fallback_;
-  std::unique_ptr<core::DrasAgent> fallback_replica_;
+  nn::BatchActivations fallback_acts_;
 
   // Breaker state (guarded by mutex_ except the open flag for readers).
   std::size_t consecutive_failures_ = 0;

@@ -1,12 +1,12 @@
 // An immutable, versioned serving model loaded from a checkpoint.
 //
 // A ModelSnapshot is the unit the hot-swap protocol moves around: the
-// ModelWatcher loads one from the newest checkpoint file, the
-// DecisionService flips a shared_ptr to it, and each inference worker
-// clones a private replica so batched forwards never share mutable
-// network scratch across threads.  The snapshot itself is never
-// forwarded through after construction — it is a frozen parameter
-// source, safe to share read-only between any number of workers.
+// ModelWatcher loads one from the newest checkpoint file and the
+// DecisionService flips a shared_ptr to it.  Its network is the one
+// weight set every inference worker and client fallback serves from:
+// they forward through it only with the const Network::forward_batch,
+// each with its own activation scratch, so the snapshot is never
+// mutated after construction and is safe to share between threads.
 //
 // The version is the episode number encoded in the checkpoint filename
 // (ckpt-<episode>.dras), which is exactly the trainer's progress
@@ -43,15 +43,14 @@ class ModelSnapshot {
   }
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
-  /// Deep copy for one inference worker: parameters and the (disabled)
-  /// training flag carry over, so replica decisions are bit-identical
-  /// to decisions made directly on the loaded agent.
+  /// Deep copy for the reference_decision oracle, which runs the
+  /// mutable single-sample forward(): parameters and the (disabled)
+  /// training flag carry over.  The serving path never calls it.
   [[nodiscard]] std::unique_ptr<core::DrasAgent> make_replica() const {
     return agent_->clone_agent();
   }
 
-  /// The pristine loaded agent (single-threaded use only — tests and
-  /// the in-trainer determinism oracle).
+  /// The loaded agent; serving reads its network concurrently.
   [[nodiscard]] const core::DrasAgent& agent() const noexcept {
     return *agent_;
   }

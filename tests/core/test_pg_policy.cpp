@@ -144,7 +144,7 @@ TEST(PGPolicy, LearnsStateDependentPolicy) {
 }
 
 // The update loop batches every recorded state through one
-// forward_batch_retained call (see nn::Network::stage_batch_sample); the
+// forward_batch call (see nn::Network::stage_batch_sample); the
 // resulting parameters must not depend on anything but the experiences.
 TEST(PGPolicy, BatchedUpdateIsDeterministicOverVariedExperiences) {
   PGPolicy a(tiny_config(), 29), b(tiny_config(), 29);

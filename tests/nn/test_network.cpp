@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <span>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "core/dras_agent.h"
 #include "core/presets.h"
 #include "nn/ops.h"
 #include "util/rng.h"
@@ -209,7 +214,8 @@ TEST(Network, ForwardBatchBitIdenticalToPerSampleForward) {
   for (float& v : inputs) v = static_cast<float>(rng.uniform(-1.0, 1.0));
 
   std::vector<float> outputs(batch * cfg.outputs);
-  net.forward_batch(inputs, batch, outputs);
+  BatchActivations acts;
+  net.forward_batch(inputs, batch, outputs, acts);
 
   for (std::size_t b = 0; b < batch; ++b) {
     const auto row = std::span<const float>(inputs).subspan(
@@ -241,7 +247,8 @@ TEST(Network, ForwardBatchDoesNotDisturbTrainingCaches) {
   std::vector<float> batch_in(4 * cfg.input_size());
   for (float& v : batch_in) v = static_cast<float>(rng.uniform(-1.0, 1.0));
   std::vector<float> batch_out(4 * cfg.outputs);
-  net.forward_batch(batch_in, 4, batch_out);
+  BatchActivations acts;
+  net.forward_batch(batch_in, 4, batch_out, acts);
   net.backward(grad);
   const std::span<const float> actual = net.gradients();
   ASSERT_EQ(actual.size(), expected.size());
@@ -255,18 +262,20 @@ TEST(Network, ForwardBatchValidatesBufferLengths) {
   Network net(cfg, rng);
   std::vector<float> inputs(2 * cfg.input_size());
   std::vector<float> outputs(2 * cfg.outputs);
-  EXPECT_THROW(net.forward_batch(inputs, 3, outputs), std::invalid_argument);
+  BatchActivations acts;
+  EXPECT_THROW(net.forward_batch(inputs, 3, outputs, acts),
+               std::invalid_argument);
   std::vector<float> short_out(cfg.outputs);
-  EXPECT_THROW(net.forward_batch(inputs, 2, short_out),
+  EXPECT_THROW(net.forward_batch(inputs, 2, short_out, acts),
                std::invalid_argument);
   // Batch 0 is a no-op, not an error.
   std::vector<float> empty;
-  EXPECT_NO_THROW(net.forward_batch(empty, 0, empty));
+  EXPECT_NO_THROW(net.forward_batch(empty, 0, empty, acts));
 }
 
-// The PG update batches its K forwards through forward_batch_retained and
-// replays each sample into the single-sample caches with
-// stage_batch_sample before backward().  The whole scheme only works if
+// The PG update batches its K forwards through forward_batch and replays
+// each sample from its BatchActivations into the single-sample caches
+// with stage_batch_sample before backward().  The whole scheme only works if
 // the staged backward produces bit-identical gradients to the serial
 // forward/backward it replaces.
 TEST(Network, StagedBatchBackwardBitIdenticalToSerial) {
@@ -291,11 +300,12 @@ TEST(Network, StagedBatchBackwardBitIdenticalToSerial) {
         b * cfg.outputs, cfg.outputs));
   }
 
-  // Batched: one retained forward, then stage + backward per sample.
+  // Batched: one forward, then stage + backward per sample.
   std::vector<float> outputs(batch * cfg.outputs);
-  batched.forward_batch_retained(inputs, batch, outputs);
+  BatchActivations acts;
+  batched.forward_batch(inputs, batch, outputs, acts);
   for (std::size_t b = 0; b < batch; ++b) {
-    batched.stage_batch_sample(b);
+    batched.stage_batch_sample(acts, b);
     batched.backward(std::span<const float>(grads).subspan(
         b * cfg.outputs, cfg.outputs));
   }
@@ -316,21 +326,85 @@ TEST(Network, StagedBatchBackwardBitIdenticalToSerial) {
   }
 }
 
-TEST(Network, StageBatchSampleRequiresRetainedBatch) {
+TEST(Network, StageBatchSampleRequiresFilledActivations) {
   const NetworkConfig cfg = small_config();
   util::Rng rng(55);
   Network net(cfg, rng);
-  // No retained batch yet.
-  EXPECT_THROW(net.stage_batch_sample(0), std::logic_error);
+  BatchActivations acts;
+  // Activations that hold no batch.
+  EXPECT_THROW(net.stage_batch_sample(acts, 0), std::logic_error);
   std::vector<float> inputs(3 * cfg.input_size(), 0.25f);
   std::vector<float> outputs(3 * cfg.outputs);
-  // A plain (non-retaining) batched forward does not arm staging.
-  net.forward_batch(inputs, 3, outputs);
-  EXPECT_THROW(net.stage_batch_sample(0), std::logic_error);
-  net.forward_batch_retained(inputs, 3, outputs);
-  EXPECT_NO_THROW(net.stage_batch_sample(2));
+  net.forward_batch(inputs, 3, outputs, acts);
+  EXPECT_NO_THROW(net.stage_batch_sample(acts, 2));
   // Out-of-range sample index.
-  EXPECT_THROW(net.stage_batch_sample(3), std::logic_error);
+  EXPECT_THROW(net.stage_batch_sample(acts, 3), std::logic_error);
+  // An empty batch leaves nothing to stage.
+  std::vector<float> empty;
+  net.forward_batch(empty, 0, empty, acts);
+  EXPECT_THROW(net.stage_batch_sample(acts, 0), std::logic_error);
+}
+
+// Serving rides on this: every DecisionService worker and client
+// fallback forwards through one snapshot's network, each with its own
+// activations.  Concurrent batched forwards on one const Network must
+// each equal the per-sample forward() of an independent copy.
+TEST(Network, ConcurrentForwardBatchOnSharedConstNetwork) {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 20;
+  constexpr std::size_t kBatches[] = {1, 3, 17, 32};
+  for (const core::AgentKind kind :
+       {core::AgentKind::PG, core::AgentKind::DQL}) {
+    core::DrasConfig dras;
+    dras.kind = kind;
+    dras.total_nodes = 16;
+    dras.window = 4;
+    dras.fc1 = 24;
+    dras.fc2 = 12;
+    const NetworkConfig cfg = dras.network_config();
+    util::Rng rng(56);
+    const Network shared(cfg, rng);
+    Network oracle = shared;
+
+    // inputs[t][i] / expected[t][i]: thread t's batch of kBatches[i].
+    std::vector<std::vector<std::vector<float>>> inputs(kThreads),
+        expected(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      for (const std::size_t batch : kBatches) {
+        std::vector<float> x(batch * cfg.input_size());
+        for (float& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+        std::vector<float> y;
+        for (std::size_t b = 0; b < batch; ++b) {
+          const auto row = oracle.forward(std::span<const float>(x).subspan(
+              b * cfg.input_size(), cfg.input_size()));
+          y.insert(y.end(), row.begin(), row.end());
+        }
+        inputs[t].push_back(std::move(x));
+        expected[t].push_back(std::move(y));
+      }
+    }
+
+    std::atomic<std::size_t> mismatched_rows{0};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        BatchActivations acts;
+        for (std::size_t round = 0; round < kRounds; ++round) {
+          for (std::size_t i = 0; i < std::size(kBatches); ++i) {
+            std::vector<float> y(expected[t][i].size());
+            shared.forward_batch(inputs[t][i], kBatches[i], y, acts);
+            for (std::size_t b = 0; b < kBatches[i]; ++b)
+              if (std::memcmp(y.data() + b * cfg.outputs,
+                              expected[t][i].data() + b * cfg.outputs,
+                              cfg.outputs * sizeof(float)) != 0)
+                mismatched_rows.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(mismatched_rows.load(), 0u) << core::to_string(kind);
+  }
 }
 
 }  // namespace

@@ -216,12 +216,17 @@ TEST_F(DecisionServiceTest, InstallNullptrThrows) {
   EXPECT_THROW(service.install(nullptr), std::invalid_argument);
 }
 
-// Satellite: N client threads × M snapshot versions under live swaps.
-// Zero failed requests; every response attributable to exactly one
-// installed snapshot version — verified by replaying each request
-// against that version's own replica; post-swap decisions match the
-// new snapshot's in-trainer decisions.
-TEST_F(DecisionServiceTest, ConcurrentClientsAcrossHotSwaps) {
+// N client threads × M snapshot versions under live swaps, with the
+// workers sharing each snapshot's network.  Zero failed requests; every
+// response attributable to exactly one installed snapshot version —
+// verified by replaying each request against that version's own
+// replica; post-swap decisions match the new snapshot's in-trainer
+// decisions.
+class DecisionServiceSwapTest
+    : public DecisionServiceTest,
+      public ::testing::WithParamInterface<std::size_t> {};
+
+TEST_P(DecisionServiceSwapTest, ConcurrentClientsAcrossHotSwaps) {
   constexpr std::size_t kClients = 4;
   constexpr std::size_t kRequestsPerClient = 200;
   constexpr std::size_t kVersions = 5;
@@ -235,7 +240,7 @@ TEST_F(DecisionServiceTest, ConcurrentClientsAcrossHotSwaps) {
   DecisionService service(
       {.policy = {.max_batch = 8,
                   .max_wait = std::chrono::microseconds(100)},
-       .workers = 2});
+       .workers = GetParam()});
   service.install(snapshots.front());
 
   struct ClientLog {
@@ -305,6 +310,9 @@ TEST_F(DecisionServiceTest, ConcurrentClientsAcrossHotSwaps) {
               reference_decision(*final_replica, request));
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Workers, DecisionServiceSwapTest,
+                         ::testing::Values<std::size_t>(2, 4));
 
 }  // namespace
 }  // namespace dras::serve

@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 
 #include "serve/net/server.h"
@@ -133,6 +134,8 @@ TEST_F(NetClientTest, BreakerFailsOverToFallbackThenFailsBack) {
     const auto request = make_synthetic_request(config_, rng);
     const auto decision = client.decide(request);
     EXPECT_TRUE(decision.degraded);
+    EXPECT_EQ(decision.batch_size, 0u);
+    EXPECT_EQ(decision.model_version, snapshot_->version());
     EXPECT_EQ(decision.job_index, reference_decision(*oracle, request));
     saw_open = saw_open || client.breaker_open();
   }
@@ -201,6 +204,18 @@ TEST_F(NetClientTest, FallbackDecisionsMatchReferenceOracle) {
     EXPECT_EQ(decision.model_version, snapshot_->version());
     EXPECT_EQ(decision.job_index, reference_decision(*oracle, request));
   }
+}
+
+TEST_F(NetClientTest, MalformedRequestIsRejectedByTheFallback) {
+  // No server: the fallback applies the service's request validation
+  // before any forward pass.
+  DecisionClient client(fast_options());
+  client.set_fallback(snapshot_);
+  util::Rng rng(5);
+  DecisionRequest bad = make_synthetic_request(config_, rng);
+  bad.state.resize(bad.state.size() / 2);
+  EXPECT_THROW((void)client.decide(bad), std::invalid_argument);
+  EXPECT_EQ(client.stats().degraded, 0u);
 }
 
 }  // namespace
