@@ -1,11 +1,16 @@
 // Micro-benchmarks for the simulator substrate: event throughput under
-// FCFS/EASY, EASY backfill-candidate computation, state encoding, and the
-// knapsack DP of the Optimization baseline.
+// FCFS/EASY, the availability profile (construction, earliest start, a
+// backfill-candidate scan), state encoding, and the knapsack DP of the
+// Optimization baseline.
 #include <benchmark/benchmark.h>
+
+#include <span>
+#include <vector>
 
 #include "core/state_encoder.h"
 #include "sched/fcfs_easy.h"
 #include "sched/knapsack_opt.h"
+#include "sim/profile.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 #include "workload/models.h"
@@ -39,8 +44,8 @@ void BM_SimulatorFcfsEasy(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorFcfsEasy)->Unit(benchmark::kMillisecond);
 
-void BM_ClusterEarliestStart(benchmark::State& state) {
-  const auto running = state.range(0);
+/// A 4360-node machine running up to `running` random jobs, >128 nodes free.
+dras::sim::Cluster busy_cluster(std::int64_t running) {
   dras::sim::Cluster cluster(4360);
   dras::util::Rng rng(3);
   dras::sim::JobId id = 0;
@@ -53,10 +58,26 @@ void BM_ClusterEarliestStart(benchmark::State& state) {
     job.runtime_actual = job.runtime_estimate;
     if (!cluster.allocate(job, 0.0)) break;
   }
-  for (auto _ : state)
-    benchmark::DoNotOptimize(cluster.earliest_start(4000, 0.0));
+  return cluster;
 }
-BENCHMARK(BM_ClusterEarliestStart)->Arg(16)->Arg(64)->Arg(256);
+
+void BM_ProfileBuild(benchmark::State& state) {
+  const auto cluster = busy_cluster(state.range(0));
+  for (auto _ : state) {
+    const dras::sim::AvailabilityProfile profile(cluster, {}, 0.0);
+    benchmark::DoNotOptimize(profile.steps().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ProfileBuild)->Arg(16)->Arg(64)->Arg(256);
+
+void BM_ProfileEarliestStart(benchmark::State& state) {
+  const auto cluster = busy_cluster(state.range(0));
+  const dras::sim::AvailabilityProfile profile(cluster, {}, 0.0);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(profile.earliest_start(4000, 5000.0));
+}
+BENCHMARK(BM_ProfileEarliestStart)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_StateEncodeWindow(benchmark::State& state) {
   // Encode a full Theta-scale window state: 2W+N rows.
@@ -122,6 +143,8 @@ BENCHMARK(BM_KnapsackDP)->Arg(32)->Arg(128)->Arg(512)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_BackfillCandidates(benchmark::State& state) {
+  // One profile per scan, then the simulator's rule per queued job (the
+  // work of SchedulingContext::backfill_candidates).
   dras::sim::Cluster cluster(4360);
   dras::util::Rng rng(7);
   dras::sim::JobId id = 0;
@@ -134,19 +157,26 @@ void BM_BackfillCandidates(benchmark::State& state) {
     job.runtime_actual = job.runtime_estimate;
     (void)cluster.allocate(job, 0.0);
   }
-  const dras::sim::Reservation reservation{9999, 4000, 8000.0};
+  const dras::sim::Reservation reservation{9999, 4000, 8000.0, 5000.0};
   std::vector<dras::sim::Job> waiting(256);
-  std::vector<dras::sim::Job*> queue;
   for (auto& job : waiting) {
     job.id = id++;
     job.size = static_cast<int>(1 + rng.uniform_index(1024));
     job.runtime_estimate = rng.uniform(100.0, 20000.0);
     job.runtime_actual = job.runtime_estimate;
-    queue.push_back(&job);
   }
+  std::vector<const dras::sim::Job*> candidates;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        dras::sim::backfill_candidates(cluster, reservation, queue, 0.0));
+    const dras::sim::AvailabilityProfile profile(
+        cluster, std::span<const dras::sim::Reservation>(&reservation, 1),
+        0.0);
+    candidates.clear();
+    for (const auto& job : waiting)
+      if (cluster.fits(job.size) &&
+          profile.can_start_now(job.size, job.runtime_estimate))
+        candidates.push_back(&job);
+    benchmark::DoNotOptimize(candidates.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_BackfillCandidates)->Unit(benchmark::kMicrosecond);

@@ -168,10 +168,10 @@ std::future<Decision> DecisionService::submit(DecisionRequest request) {
   {
     std::lock_guard lock(mutex_);
     if (stopping_) {
-      pending.promise.set_exception(std::make_exception_ptr(
-          std::runtime_error("decision service stopped")));
       failures_.fetch_add(1, std::memory_order_relaxed);
       ServeMetrics::get().failures.add(1);
+      pending.promise.set_exception(std::make_exception_ptr(
+          std::runtime_error("decision service stopped")));
       return future;
     }
     queue_.push_back(std::move(pending));
@@ -242,12 +242,12 @@ void DecisionService::worker_loop(std::size_t /*worker_index*/) {
       if (model_ == nullptr) {
         // Stopping with requests that never saw a model: fail them.
         while (!queue_.empty()) {
+          failures_.fetch_add(1, std::memory_order_relaxed);
+          ServeMetrics::get().failures.add(1);
           queue_.front().promise.set_exception(std::make_exception_ptr(
               std::runtime_error("decision service stopped before a model "
                                  "was installed")));
           queue_.pop_front();
-          failures_.fetch_add(1, std::memory_order_relaxed);
-          ServeMetrics::get().failures.add(1);
         }
         return;
       }
@@ -301,9 +301,10 @@ void DecisionService::serve_batch(std::vector<Pending>& batch,
       valid_requests.push_back(&batch[i].request);
       valid_slots.push_back(i);
     } catch (const std::exception&) {
-      batch[i].promise.set_exception(std::current_exception());
+      // Count before fulfilling: a caller past get() sees the count.
       failures_.fetch_add(1, std::memory_order_relaxed);
       metrics.failures.add(1);
+      batch[i].promise.set_exception(std::current_exception());
     }
   }
 
@@ -316,6 +317,17 @@ void DecisionService::serve_batch(std::vector<Pending>& batch,
     decide_batch(snapshot, valid_requests, picks, acts);
   }
 
+  // Stats first, as for failures above: a caller past get() sees them.
+  metrics.batch_size.observe(static_cast<double>(batch.size()));
+  metrics.requests.add(valid_requests.size());
+  metrics.batches.add(1);
+  requests_.fetch_add(valid_requests.size(), std::memory_order_relaxed);
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  std::uint64_t seen = max_batch_.load(std::memory_order_relaxed);
+  while (seen < batch.size() &&
+         !max_batch_.compare_exchange_weak(
+             seen, batch.size(), std::memory_order_relaxed)) {
+  }
   for (std::size_t i = 0; i < valid_requests.size(); ++i) {
     Pending& pending = batch[valid_slots[i]];
     Decision decision;
@@ -326,16 +338,6 @@ void DecisionService::serve_batch(std::vector<Pending>& batch,
     decision.latency_us = micros_since(pending.enqueued);
     metrics.request_latency_us.observe(decision.latency_us);
     pending.promise.set_value(decision);
-  }
-  metrics.batch_size.observe(static_cast<double>(batch.size()));
-  metrics.requests.add(valid_requests.size());
-  metrics.batches.add(1);
-  requests_.fetch_add(valid_requests.size(), std::memory_order_relaxed);
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  std::uint64_t seen = max_batch_.load(std::memory_order_relaxed);
-  while (seen < batch.size() &&
-         !max_batch_.compare_exchange_weak(
-             seen, batch.size(), std::memory_order_relaxed)) {
   }
 }
 

@@ -62,35 +62,6 @@ void Cluster::repair_node() {
   assert(free_nodes_ <= total_nodes_);
 }
 
-Time Cluster::earliest_start(int size, Time now) const {
-  if (size > total_nodes_)
-    throw std::invalid_argument("job larger than the whole machine");
-  if (fits(size)) return now;
-  std::vector<std::pair<Time, int>> releases;  // (estimated end, size)
-  releases.reserve(running_.size() + down_.size());
-  for (const auto& [id, rec] : running_)
-    releases.emplace_back(rec.estimated_end, rec.size);
-  for (const Time repair : down_) releases.emplace_back(repair, 1);
-  std::sort(releases.begin(), releases.end());
-  int available = free_nodes_;
-  for (const auto& [when, n] : releases) {
-    available += n;
-    if (available >= size) return std::max(when, now);
-  }
-  // Unreachable: sum of releases restores total_nodes_ >= size.
-  assert(false);
-  return now;
-}
-
-int Cluster::released_by(Time when) const noexcept {
-  int released = 0;
-  for (const auto& [id, rec] : running_)
-    if (rec.estimated_end <= when) released += rec.size;
-  for (const Time repair : down_)
-    if (repair <= when) ++released;
-  return released;
-}
-
 void Cluster::encode_nodes(Time now, std::vector<NodeRow>& out) const {
   out.clear();
   out.reserve(static_cast<std::size_t>(total_nodes_));

@@ -8,8 +8,10 @@
 //
 // Estimated end times come from user runtime estimates (upper bounds); the
 // actual end, driven by the trace runtime, is never later than the
-// estimate.  Reservation and EASY-backfill arithmetic deliberately use the
-// *estimated* ends, exactly as production backfilling schedulers do.
+// estimate unless checkpoint I/O stretches a job under fault injection.
+// Reservation planning (sim/profile.h) deliberately uses the *estimated*
+// ends, exactly as production backfilling schedulers do; the cluster only
+// supplies the running set and the down nodes' repair times.
 #pragma once
 
 #include <cstdint>
@@ -90,14 +92,6 @@ class Cluster {
   [[nodiscard]] const std::vector<Time>& down_until() const noexcept {
     return down_;
   }
-
-  /// Earliest time at which `size` nodes are simultaneously free, assuming
-  /// running jobs end at their *estimated* ends.  Returns `now` when the
-  /// job already fits.  Requires size <= total_nodes().
-  [[nodiscard]] Time earliest_start(int size, Time now) const;
-
-  /// Nodes whose estimated release is <= `when` (excludes already-free).
-  [[nodiscard]] int released_by(Time when) const noexcept;
 
   /// Materialise the N node rows of the state encoding at time `now`,
   /// appending into `out` (resized to total_nodes()).  Busy nodes are

@@ -6,13 +6,19 @@
 //   − claims of outstanding reservations (r.size nodes held from r.start
 //     for the reserved job's estimated runtime).
 //
-// The profile generalises the single-reservation EASY arithmetic in
-// backfill.h to arbitrarily many outstanding reservations: a job may
-// start now iff subtracting its own claim keeps A(t) non-negative
-// everywhere, and a new reservation's earliest start is the first t where
-// A stays >= size for the job's whole estimated duration.  This is the
-// engine behind the reservation-depth extension (conservative-style
-// backfilling when depth is large, plain EASY at depth 1).
+// The profile plans every reservation depth: a job may start now iff
+// subtracting its own claim keeps A(t) non-negative everywhere, and a new
+// reservation's earliest start is the first t where A stays >= size for
+// the job's whole estimated duration.  At depth 1 this is exactly EASY
+// (with the reservation at t_r >= now, "min A over [now, now + est) >=
+// size" holds iff the job ends by t_r or leaves the reservation's nodes
+// free at t_r); deeper ledgers give conservative-style backfilling.  The
+// classic EASY arithmetic survives only as a test oracle
+// (tests/sim/easy_reference.h).
+//
+// Claims and releases before `now` are clamped to `now`: a job running
+// past its estimate counts as releasing now, so A(now) can exceed the free
+// nodes and callers must also check Cluster::fits.
 #pragma once
 
 #include <span>

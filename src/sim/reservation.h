@@ -1,18 +1,20 @@
 // Resource reservation ledger.
 //
 // A reservation pins the earliest start time of a job that cannot run
-// now; backfilled jobs must not delay it (see backfill.h / profile.h).
-// The ledger holds up to `depth` outstanding reservations:
+// now; backfilled jobs must not delay it.  The ledger holds up to `depth`
+// outstanding reservations, all planned through one AvailabilityProfile
+// (profile.h):
 //
 //   depth == 1  — classic EASY (paper §II-A / §III-B): one reservation,
 //                 exactly the behaviour DRAS and FCFS use in the paper.
 //   depth  > 1  — the conservative-backfilling extension: several queued
-//                 jobs hold future node claims simultaneously, planned
-//                 through the AvailabilityProfile.
+//                 jobs hold future node claims simultaneously.
 //
 // Reservations are system commitments: they persist until the reserved
 // job starts (the simulator starts it automatically once it fits without
-// jeopardising the remaining reservations).
+// jeopardising the remaining reservations).  A reservation whose start
+// passes without its job starting — only fault injection causes that — is
+// re-planned at the earliest start the others leave free.
 #pragma once
 
 #include <algorithm>
@@ -53,6 +55,15 @@ class ReservationLedger {
     if (full()) return false;
     list_.push_back(r);
     return true;
+  }
+  /// Move the reservation for `id` to `start`; false if absent.
+  bool replan(JobId id, Time start) {
+    for (Reservation& r : list_) {
+      if (r.job != id) continue;
+      r.start = start;
+      return true;
+    }
+    return false;
   }
   /// Remove the reservation for `id`; false if absent.
   bool remove(JobId id) {

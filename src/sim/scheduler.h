@@ -3,17 +3,17 @@
 // The simulator invokes `schedule()` at every scheduling instance (job
 // submission, job completion, or reservation start).  The policy acts on
 // the environment exclusively through the SchedulingContext: starting jobs
-// immediately, creating one reservation, and backfilling against it.  The
-// context validates every action (fit, legality) so a buggy policy cannot
-// corrupt simulator state, mirroring how CQSim separates the queue manager
-// from the policy plug-in.
+// immediately, creating reservations (one at the paper's depth 1), and
+// backfilling against them.  The context validates every action (fit,
+// legality against the availability profile, sim/profile.h) so a buggy
+// policy cannot corrupt simulator state, mirroring how CQSim separates the
+// queue manager from the policy plug-in.
 #pragma once
 
 #include <memory>
 #include <string_view>
 #include <vector>
 
-#include "sim/backfill.h"
 #include "sim/cluster.h"
 #include "sim/job.h"
 #include "sim/reservation.h"
@@ -63,14 +63,14 @@ class SchedulingContext {
   /// not queued.
   bool start_now(JobId id);
   /// Reserve nodes for `id` at its earliest estimated start.  Fails if the
-  /// job already fits (it should be started instead), is not queued, or a
-  /// reservation is already active this instance.
+  /// job can legally start now (it should be started instead), is not
+  /// queued or already reserved, or the reservation ledger is full.
   bool reserve(JobId id);
-  /// Start `id` as a backfill against the active reservation.  Fails
-  /// without an active reservation or when EASY-illegal.
+  /// Start `id` as a backfill against the active reservations.  Fails
+  /// without an active reservation or when it would delay one.
   bool backfill(JobId id);
-  /// Queued jobs that may legally backfill right now (empty without an
-  /// active reservation).
+  /// Queued, unreserved jobs that fit now and would delay no reservation,
+  /// in arrival order (empty without an active reservation).
   [[nodiscard]] std::vector<Job*> backfill_candidates() const;
 
  private:

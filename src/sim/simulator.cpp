@@ -106,18 +106,12 @@ bool SchedulingContext::backfill(JobId id) {
 
 std::vector<Job*> SchedulingContext::backfill_candidates() const {
   if (!sim_.ledger_.active()) return {};
-  if (sim_.ledger_.depth() == 1) {
-    return dras::sim::backfill_candidates(sim_.cluster_, sim_.ledger_.get(),
-                                          sim_.queue_.visible(), sim_.now_);
-  }
-  // Multi-reservation path: plan against the availability profile.
   const AvailabilityProfile profile(sim_.cluster_, sim_.ledger_.all(),
                                     sim_.now_);
   std::vector<Job*> candidates;
   for (Job* job : sim_.queue_.visible()) {
     if (sim_.ledger_.holds(job->id)) continue;
-    if (profile.can_start_now(job->size, job->runtime_estimate))
-      candidates.push_back(job);
+    if (sim_.can_start(*job, profile)) candidates.push_back(job);
   }
   return candidates;
 }
@@ -145,12 +139,12 @@ std::vector<Reservation> Simulator::reservations_except(
   return others;
 }
 
-bool Simulator::start_is_reservation_safe(const Job& job) const {
-  if (!ledger_.active()) return true;
-  if (ledger_.depth() == 1)
-    return backfill_legal(cluster_, ledger_.get(), job, now_);
-  const AvailabilityProfile profile(cluster_, ledger_.all(), now_);
-  return profile.can_start_now(job.size, job.runtime_estimate);
+bool Simulator::can_start(const Job& job,
+                          const AvailabilityProfile& profile) const {
+  // `fits` is not implied by the profile: a job that checkpoints can run
+  // past its estimate, and its overdue release then counts as available.
+  return cluster_.fits(job.size) &&
+         profile.can_start_now(job.size, job.runtime_estimate);
 }
 
 Job* Simulator::find_queued(JobId id) noexcept {
@@ -169,7 +163,9 @@ bool Simulator::action_start(JobId id, bool as_backfill) {
   if (!cluster_.fits(job->size)) return false;
   // Starting a job while reservations are outstanding must not delay any
   // of them, whatever the policy chooses to call the action.
-  if (!start_is_reservation_safe(*job)) return false;
+  if (ledger_.active() &&
+      !can_start(*job, AvailabilityProfile(cluster_, ledger_.all(), now_)))
+    return false;
   ExecMode mode;
   if (ever_reserved_.contains(id)) {
     mode = ExecMode::Reserved;
@@ -191,19 +187,14 @@ bool Simulator::action_reserve(JobId id) {
   Job* job = find_queued(id);
   if (job == nullptr) return false;
   if (ledger_.holds(id)) return false;
+  const AvailabilityProfile profile(cluster_, ledger_.all(), now_);
   // A job that can legally start right now must be started instead.
-  if (cluster_.fits(job->size) && start_is_reservation_safe(*job))
-    return false;
+  if (can_start(*job, profile)) return false;
   Reservation r;
   r.job = id;
   r.size = job->size;
   r.duration = job->runtime_estimate;
-  if (ledger_.depth() == 1) {
-    r.start = cluster_.earliest_start(job->size, now_);
-  } else {
-    const AvailabilityProfile profile(cluster_, ledger_.all(), now_);
-    r.start = profile.earliest_start(job->size, job->runtime_estimate);
-  }
+  r.start = profile.earliest_start(job->size, job->runtime_estimate);
   const bool added = ledger_.add(r);
   assert(added);
   (void)added;
@@ -231,18 +222,32 @@ void Simulator::auto_start_reserved(const SchedulingContext& ctx) {
     progress = false;
     for (const Reservation& r : ledger_.all()) {
       Job& job = jobs_[index_.at(r.job)];
-      if (!cluster_.fits(job.size)) continue;
-      if (ledger_.depth() > 1) {
-        // Starting this reserved job must not jeopardise the others.
-        const auto others = reservations_except(r.job);
-        const AvailabilityProfile profile(cluster_, others, now_);
-        if (!profile.can_start_now(job.size, job.runtime_estimate)) continue;
+      const bool stale = r.start < now_;
+      if (!stale && !cluster_.fits(job.size)) continue;
+      // Starting this reserved job must not jeopardise the others.
+      const AvailabilityProfile profile(cluster_, reservations_except(r.job),
+                                        now_);
+      if (can_start(job, profile)) {
+        ledger_.remove(r.job);
+        start_job(job, ExecMode::Reserved);
+        notify_observers(ctx, job);
+        progress = true;
+        break;  // ledger mutated; restart the scan
       }
-      ledger_.remove(r.job);
-      start_job(job, ExecMode::Reserved);
-      notify_observers(ctx, job);
-      progress = true;
-      break;  // ledger mutated; restart the scan
+      if (stale) {
+        // Only faults (a node failure, a job overrunning its estimate
+        // while it checkpoints) leave a reservation unstartable past its
+        // start.  The profile clamps its claim to now, so stale claims
+        // would ride along with the clock and could block one another
+        // forever; plan it afresh around the others instead.
+        const Time start =
+            profile.earliest_start(job.size, job.runtime_estimate);
+        ledger_.replan(r.job, start);
+        if (start > now_)
+          events_.push(Event{start, EventType::ReservationReady, r.job});
+        progress = true;
+        break;  // the others' profiles changed; restart the scan
+      }
     }
   }
 }

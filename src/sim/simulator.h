@@ -109,12 +109,15 @@ class Simulator {
   bool action_reserve(JobId id);
   [[nodiscard]] Job* find_queued(JobId id) noexcept;
 
-  /// Starting `job` now keeps every outstanding reservation satisfiable.
-  [[nodiscard]] bool start_is_reservation_safe(const Job& job) const;
+  /// The one start rule at every reservation depth: `job` fits the free
+  /// nodes and holding them for its estimate keeps `profile` satisfiable.
+  [[nodiscard]] bool can_start(const Job& job,
+                               const AvailabilityProfile& profile) const;
   /// All outstanding reservations except the one for `excluded`.
   [[nodiscard]] std::vector<Reservation> reservations_except(
       JobId excluded) const;
-  /// Start any reserved jobs that now fit without jeopardising the rest.
+  /// Start any reserved jobs that now fit without jeopardising the rest,
+  /// and re-plan reservations whose start has passed without them.
   void auto_start_reserved(const SchedulingContext& ctx);
 
   void start_job(Job& job, ExecMode mode);

@@ -1,21 +1,49 @@
-#include "sim/backfill.h"
+// The classic EASY legality rule (tests/sim/easy_reference.h) on
+// hand-built states, each also checked against the simulator's rule at
+// every depth: the job fits and the availability profile stays
+// satisfiable for its estimate.
+#include "easy_reference.h"
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "../test_helpers.h"
+#include "sim/profile.h"
 
 namespace dras::sim {
 namespace {
 
 using dras::testing::make_job;
+using reference::backfill_candidates;
+
+/// The simulator's start rule against one reservation.
+bool profile_legal(const Cluster& cluster, const Reservation& reservation,
+                   const Job& job, Time now) {
+  if (job.id == reservation.job) return false;
+  const AvailabilityProfile profile(
+      cluster, std::span<const Reservation>(&reservation, 1), now);
+  return cluster.fits(job.size) &&
+         profile.can_start_now(job.size, job.runtime_estimate);
+}
+
+/// EASY's verdict, after checking that the profile agrees.
+bool backfill_legal(const Cluster& cluster, const Reservation& reservation,
+                    const Job& job, Time now) {
+  const bool easy = reference::backfill_legal(cluster, reservation, job, now);
+  EXPECT_EQ(profile_legal(cluster, reservation, job, now), easy)
+      << "job " << job.id << " at t=" << now;
+  return easy;
+}
 
 class BackfillTest : public ::testing::Test {
  protected:
   // 10-node machine: 6 nodes busy until t=100 (estimated), 4 free.
-  // Reservation: 10 nodes at t=100 for job 50.
+  // Reservation: 10 nodes at t=100 for job 50 (estimate 50).
   BackfillTest() : cluster_(10) {
     cluster_.allocate(make_job(1, 0, 6, 100), 0.0);
-    reservation_ = Reservation{50, 10, 100.0};
+    reservation_ = Reservation{50, 10, 100.0, 50.0};
   }
   Cluster cluster_;
   Reservation reservation_;
@@ -63,7 +91,7 @@ TEST(BackfillExtraNodes, LongJobOnSpareNodesIsLegal) {
   // past the reserved start (it uses nodes the reservation does not need).
   Cluster cluster(10);
   cluster.allocate(make_job(1, 0, 2, 100), 0.0);
-  const Reservation reservation{50, 6, 100.0};
+  const Reservation reservation{50, 6, 100.0, 50.0};
   const Job job = make_job(2, 0, 2, 1000, 1000);
   EXPECT_TRUE(backfill_legal(cluster, reservation, job, 0.0));
 }
@@ -71,7 +99,7 @@ TEST(BackfillExtraNodes, LongJobOnSpareNodesIsLegal) {
 TEST(BackfillExtraNodes, ExactCoverBoundary) {
   Cluster cluster(10);
   cluster.allocate(make_job(1, 0, 2, 100), 0.0);
-  const Reservation reservation{50, 8, 100.0};
+  const Reservation reservation{50, 8, 100.0, 50.0};
   // free 8, released by 100: 2.  A long 2-node job: 8 - 2 + 2 = 8 >= 8 OK.
   EXPECT_TRUE(backfill_legal(cluster, reservation,
                              make_job(2, 0, 2, 1000, 1000), 0.0));
@@ -91,6 +119,28 @@ TEST_F(BackfillTest, CandidatesPreserveArrivalOrderAndFilter) {
   ASSERT_EQ(candidates.size(), 2u);
   EXPECT_EQ(candidates[0]->id, 2);
   EXPECT_EQ(candidates[1]->id, 4);
+  std::vector<Job*> by_profile;
+  for (Job* job : queue)
+    if (profile_legal(cluster_, reservation_, *job, 0.0))
+      by_profile.push_back(job);
+  EXPECT_EQ(by_profile, candidates);
+}
+
+TEST(BackfillStale, ProfileCountsReleasesUpToNowNotUpToAPastStart) {
+  // The one state where the rules differ: a reservation whose start has
+  // passed while jobs overran their estimates (checkpoint I/O under fault
+  // injection).  10 nodes; job 1 (6 nodes, est end 100) and job 2
+  // (2 nodes, est end 120) are both still running at now = 150; the
+  // reservation wants 8 nodes from t = 100.
+  Cluster cluster(10);
+  cluster.allocate(make_job(1, 0, 6, 100), 0.0);
+  cluster.allocate(make_job(2, 0, 2, 120), 0.0);
+  const Reservation stale{50, 8, 100.0, 50.0};
+  const Job job = make_job(3, 0, 2, 10, 10);
+  // EASY: free 2 - 2 + released by t=100 (6) = 6 < 8.
+  EXPECT_FALSE(reference::backfill_legal(cluster, stale, job, 150.0));
+  // Profile: free 2 + overdue releases 8 - claim 8 = 2 >= 2.
+  EXPECT_TRUE(profile_legal(cluster, stale, job, 150.0));
 }
 
 }  // namespace

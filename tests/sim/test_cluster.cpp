@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_helpers.h"
+#include "sim/profile.h"
 
 namespace dras::sim {
 namespace {
@@ -56,40 +57,44 @@ TEST(Cluster, RunningRecordTracksEstimatedAndActualEnd) {
   EXPECT_DOUBLE_EQ(rec->actual_end, 150.0);
 }
 
+// Earliest starts and estimated releases are planned through the
+// availability profile; with no reservation it reads the cluster alone.
+
 TEST(Cluster, EarliestStartNowWhenFits) {
   Cluster cluster(10);
   cluster.allocate(make_job(1, 0, 4, 100), 0.0);
-  EXPECT_DOUBLE_EQ(cluster.earliest_start(6, 5.0), 5.0);
+  const AvailabilityProfile profile(cluster, {}, 5.0);
+  EXPECT_DOUBLE_EQ(profile.earliest_start(6, 50.0), 5.0);
 }
 
 TEST(Cluster, EarliestStartWaitsForReleases) {
   Cluster cluster(10);
   cluster.allocate(make_job(1, 0, 6, 100), 0.0);   // est end 100
   cluster.allocate(make_job(2, 0, 4, 200), 0.0);   // est end 200
-  // 8 nodes: 4 free after job1 (t=100) is not enough... free=0 now;
-  // after job1 ends: 6 free; after job2: 10 free.
-  EXPECT_DOUBLE_EQ(cluster.earliest_start(6, 0.0), 100.0);
-  EXPECT_DOUBLE_EQ(cluster.earliest_start(8, 0.0), 200.0);
+  // free=0 now; after job1 ends: 6 free; after job2: 10 free.
+  const AvailabilityProfile profile(cluster, {}, 0.0);
+  EXPECT_DOUBLE_EQ(profile.earliest_start(6, 50.0), 100.0);
+  EXPECT_DOUBLE_EQ(profile.earliest_start(8, 50.0), 200.0);
 }
 
 TEST(Cluster, EarliestStartUsesEstimatesNotActuals) {
   Cluster cluster(4);
   cluster.allocate(make_job(1, 0, 4, /*runtime=*/10, /*estimate=*/100), 0.0);
-  EXPECT_DOUBLE_EQ(cluster.earliest_start(4, 0.0), 100.0);
-}
-
-TEST(Cluster, EarliestStartThrowsForOversizedJob) {
-  Cluster cluster(4);
-  EXPECT_THROW((void)cluster.earliest_start(5, 0.0), std::invalid_argument);
+  const AvailabilityProfile profile(cluster, {}, 0.0);
+  EXPECT_DOUBLE_EQ(profile.earliest_start(4, 50.0), 100.0);
 }
 
 TEST(Cluster, ReleasedByCountsEstimatedReleases) {
   Cluster cluster(10);
   cluster.allocate(make_job(1, 0, 3, 100), 0.0);
   cluster.allocate(make_job(2, 0, 4, 200), 0.0);
-  EXPECT_EQ(cluster.released_by(50.0), 0);
-  EXPECT_EQ(cluster.released_by(100.0), 3);
-  EXPECT_EQ(cluster.released_by(250.0), 7);
+  const AvailabilityProfile profile(cluster, {}, 0.0);
+  const auto released_by = [&](Time t) {
+    return profile.available_at(t) - cluster.free_nodes();
+  };
+  EXPECT_EQ(released_by(50.0), 0);
+  EXPECT_EQ(released_by(100.0), 3);
+  EXPECT_EQ(released_by(250.0), 7);
 }
 
 TEST(Cluster, EncodeNodesLayout) {

@@ -287,5 +287,74 @@ TEST(SimulatorFaults, HeuristicRosterSurvivesFaultInjection) {
   }
 }
 
+// --- Reservations under faults at every depth ------------------------------
+//
+// Checkpointing jobs can overrun their estimates and failures take nodes
+// away, so a reservation's planned start can pass without its job
+// starting, and the profile can count overdue releases that are not free
+// nodes yet.
+
+TEST(FaultedReservations, EveryDepthDrainsUnderFaults) {
+  // Backfill candidates must fit the free nodes: SJF's backfill loop
+  // ignores a refused backfill, so one unfit candidate spun it forever
+  // (a 64-node job with 63 nodes free).  At depth 8, FCFS deadlocked on
+  // stale reservations whose claims overlapped past the machine.
+  const Trace trace = model_trace(50, 3);
+  FaultConfig config = heavy_faults();
+  config.mtbf = 200000.0;
+  for (const int depth : {1, 2, 3, 8}) {
+    sched::FcfsEasy fcfs;
+    auto sjf = sched::PriorityScheduler(sched::make_sjf());
+    Scheduler* roster[] = {&fcfs, &sjf};
+    for (Scheduler* policy : roster) {
+      Simulator simulator(272, depth);
+      simulator.set_fault_config(config);
+      const auto result = simulator.run(trace, *policy);
+      EXPECT_EQ(result.unfinished_jobs, 0u)
+          << policy->name() << " at depth " << depth;
+    }
+  }
+}
+
+TEST(FaultedReservations, StaleReservationsAreReplanned) {
+  // A reservation whose start passes without its job starting is planned
+  // afresh around the others before the policy runs, so no policy ever
+  // sees a stale one.
+  const Trace trace = model_trace(50, 3);
+  FaultConfig config = heavy_faults();
+  config.mtbf = 200000.0;
+  Simulator simulator(272, /*reservation_depth=*/8);
+  simulator.set_fault_config(config);
+  std::size_t instances_with_reservations = 0;
+  std::size_t replans = 0;  // a reservation's start only moves on re-plan
+  std::map<JobId, Time> promised;
+  const auto track = [&](const SchedulingContext& ctx) {
+    for (const Reservation& r : ctx.reservation().all()) {
+      const auto [it, fresh] = promised.emplace(r.job, r.start);
+      if (!fresh && it->second != r.start) {
+        ++replans;
+        it->second = r.start;
+      }
+    }
+  };
+  simulator.set_action_observer(
+      [&](const SchedulingContext& ctx, const Job& job) {
+        if (job.started()) promised.erase(job.id);  // a kill may re-reserve
+        track(ctx);
+      });
+  sched::FcfsEasy fcfs;
+  dras::testing::LambdaScheduler policy([&](SchedulingContext& ctx) {
+    if (ctx.reservation().active()) ++instances_with_reservations;
+    for (const Reservation& r : ctx.reservation().all())
+      EXPECT_GE(r.start, ctx.now()) << "job " << r.job;
+    track(ctx);
+    fcfs.schedule(ctx);
+  });
+  const auto result = simulator.run(trace, policy);
+  EXPECT_EQ(result.unfinished_jobs, 0u);
+  EXPECT_GT(instances_with_reservations, 0u);
+  EXPECT_GT(replans, 0u) << "the scenario no longer strands a reservation";
+}
+
 }  // namespace
 }  // namespace dras::sim

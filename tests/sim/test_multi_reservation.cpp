@@ -6,7 +6,11 @@
 
 #include "../test_helpers.h"
 #include "core/dras_agent.h"
+#include "core/presets.h"
+#include "easy_reference.h"
+#include "sched/fair_share.h"
 #include "sched/fcfs_easy.h"
+#include "sched/priority_sched.h"
 #include "sim/simulator.h"
 #include "workload/models.h"
 #include "workload/synthetic.h"
@@ -119,22 +123,125 @@ TEST(MultiReservation, AutoStartSkipsJobThatWouldStealFromOthers) {
   EXPECT_DOUBLE_EQ(by_id.at(3).start, 200.0);
 }
 
+// --- Depth 1 against the classic EASY arithmetic ---------------------------
+//
+// The simulator plans every depth through the AvailabilityProfile.  At
+// depth 1 that must reproduce EASY (easy_reference.h) on every state a
+// policy sees: at each scheduling instance and after each action, the
+// context's backfill candidates equal the reference's, and every new
+// reservation starts where the reference's earliest start puts it.  The
+// rules may differ only on a stale reservation (start < now).
+
+struct EasyDiff {
+  std::size_t candidate_checks = 0;  ///< States with an active reservation.
+  std::size_t reserve_checks = 0;
+  std::size_t mismatches = 0;
+};
+
+void check_candidates(const SchedulingContext& ctx, EasyDiff& diff) {
+  const auto got = ctx.backfill_candidates();
+  if (!ctx.reservation().active()) {
+    EXPECT_TRUE(got.empty());
+    return;
+  }
+  ++diff.candidate_checks;
+  const Reservation& r = ctx.reservation().get();
+  const auto want = reference::backfill_candidates(ctx.cluster(), r,
+                                                   ctx.queue(), ctx.now());
+  if (got == want) return;
+  ++diff.mismatches;
+  if (r.start < ctx.now()) return;  // stale: the rules may differ
+  ADD_FAILURE() << "candidates differ at t=" << ctx.now()
+                << " (reservation for job " << r.job << " at t=" << r.start
+                << "): profile " << got.size() << ", EASY " << want.size();
+}
+
+/// Runs `inner`, checking every state it sees against the reference.
+class EasyDiffScheduler final : public Scheduler {
+ public:
+  EasyDiffScheduler(Scheduler& inner, EasyDiff& diff)
+      : inner_(inner), diff_(diff) {}
+  [[nodiscard]] std::string_view name() const override {
+    return inner_.name();
+  }
+  void begin_episode() override { inner_.begin_episode(); }
+  void end_episode() override { inner_.end_episode(); }
+  void schedule(SchedulingContext& ctx) override {
+    check_candidates(ctx, diff_);
+    inner_.schedule(ctx);
+  }
+
+ private:
+  Scheduler& inner_;
+  EasyDiff& diff_;
+};
+
+EasyDiff run_easy_diff(Scheduler& policy, const Trace& trace,
+                       const FaultConfig& faults) {
+  EasyDiff diff;
+  Simulator sim(272, /*reservation_depth=*/1);
+  sim.set_fault_config(faults);
+  sim.set_action_observer([&](const SchedulingContext& ctx, const Job& job) {
+    if (!job.started() && ctx.is_reserved(job.id)) {
+      // A reserve action: the ledger holds only this job's reservation.
+      ++diff.reserve_checks;
+      EXPECT_EQ(ctx.reservation().get().start,
+                reference::earliest_start(ctx.cluster(), job.size,
+                                          ctx.now()))
+          << "job " << job.id << " at t=" << ctx.now();
+    }
+    check_candidates(ctx, diff);
+  });
+  EasyDiffScheduler checked(policy, diff);
+  const auto result = sim.run(trace, checked);
+  EXPECT_EQ(result.unfinished_jobs, 0u);
+  return diff;
+}
+
 TEST(MultiReservation, DepthOneMatchesClassicEasySemantics) {
-  // The same trace under depth 1 and depth 1 constructed explicitly must
-  // give identical schedules (regression guard for the refactor).
   workload::GenerateOptions gen;
   gen.num_jobs = 300;
   gen.seed = 5;
+  gen.load_scale = 1.3;  // saturated: plenty of reservations
   const auto trace = workload::generate_trace(
       workload::theta_mini_workload(), gen);
-  Simulator a(272);
-  Simulator b(272, 1);
-  const auto ra = run_fcfs(a, trace);
-  const auto rb = run_fcfs(b, trace);
-  ASSERT_EQ(ra.size(), rb.size());
-  for (const auto& [id, rec] : ra) {
-    EXPECT_DOUBLE_EQ(rec.start, rb.at(id).start);
-    EXPECT_EQ(rec.mode, rb.at(id).mode);
+  // DRAS runs a shorter trace: every decision is a network forward, and
+  // the nn kernels' OpenMP teams crawl when tests share the cores.
+  gen.num_jobs = 100;
+  const auto short_trace = workload::generate_trace(
+      workload::theta_mini_workload(), gen);
+  FaultConfig faults;
+  faults.mtbf = 200000.0;  // 272 nodes: ~1 failure / 12 sim-minutes
+  faults.repair_time = 50.0;
+  faults.ckpt_interval = 1800.0;
+  faults.ckpt_seconds_per_node = 1.0;
+  faults.io_bandwidth = 1.0;
+  faults.seed = 7;
+
+  for (const bool faulted : {false, true}) {
+    sched::FcfsEasy fcfs;
+    auto sjf = sched::make_sjf();
+    sched::UserRoundRobin user_rr;
+    sched::DeficitRoundRobin drr;
+    sched::WeightedFairQueuing wfq;
+    core::DrasAgent dras(
+        core::theta_mini().agent_config(core::AgentKind::PG, 5));
+    dras.set_training(false);  // only its choices matter here
+    Scheduler* roster[] = {&fcfs, &sjf, &user_rr, &drr, &wfq, &dras};
+    for (Scheduler* policy : roster) {
+      SCOPED_TRACE(::testing::Message()
+                   << policy->name() << (faulted ? " faulted" : ""));
+      const EasyDiff diff =
+          run_easy_diff(*policy, policy == &dras ? short_trace : trace,
+                        faulted ? faults : FaultConfig{});
+      EXPECT_GT(diff.candidate_checks, 0u);
+      EXPECT_GT(diff.reserve_checks, 0u);
+      // check_candidates fails any mismatch but a stale one; without
+      // faults there is none of those either.
+      if (!faulted) {
+        EXPECT_EQ(diff.mismatches, 0u);
+      }
+    }
   }
 }
 

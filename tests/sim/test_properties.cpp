@@ -20,7 +20,8 @@ using dras::testing::LambdaScheduler;
 //
 // Whenever a reservation (job j, start t_r) is created, job j must start
 // no later than t_r, whatever gets backfilled afterwards.  This is the
-// correctness property of backfill_legal + the sticky reservation ledger.
+// correctness property of the availability profile + the sticky
+// reservation ledger.
 
 class EasyGuarantee : public ::testing::TestWithParam<std::uint64_t> {};
 
